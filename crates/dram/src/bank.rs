@@ -3,9 +3,11 @@
 //! Every bank tracks its open row and the earliest cycles at which the next column access,
 //! precharge and activate commands may be issued, enforcing tRCD, tRP, tRAS and tWR. The
 //! state of all banks of one channel lives in [`BankArray`], a structure-of-arrays keyed by
-//! the flat `(rank, bank)` index: the FR-FCFS scheduler scans every queued request against
-//! its bank on every issue attempt, and four dense `Vec<u64>` columns keep that scan in a
-//! handful of cache lines instead of striding over an array of structs.
+//! the flat `(rank, bank)` index, which the controller computes once per request at
+//! enqueue. The FR-FCFS scheduler's full scans (one per command issue, see the controller's
+//! module docs) evaluate queued requests against their banks, and four dense `Vec<u64>`
+//! columns keep a scan in a handful of cache lines instead of striding over an array of
+//! structs.
 
 use crate::timing::TimingCycles;
 use serde::{Deserialize, Serialize};
@@ -80,27 +82,31 @@ impl BankArray {
         }
     }
 
-    /// Earliest cycle at which a column command for `row` can issue on bank `i`, assuming any
-    /// required precharge/activate commands are issued as early as the bank state allows,
-    /// starting no earlier than `not_before` (which encodes channel-level constraints such as
-    /// tRRD/tFAW and refresh blocking for the activate).
-    pub fn earliest_column(&self, i: usize, row: u64, not_before: u64, t: &TimingCycles) -> u64 {
-        match self.classify(i, row) {
+    /// Classifies an access to `row` on bank `i` and returns the earliest cycle at which its
+    /// column command can issue, assuming any required precharge/activate commands are
+    /// issued as early as the bank state allows, starting no earlier than `not_before`
+    /// (which encodes channel-level constraints such as tRRD/tFAW and refresh blocking).
+    pub fn plan_access(
+        &self,
+        i: usize,
+        row: u64,
+        not_before: u64,
+        t: &TimingCycles,
+    ) -> (RowOutcome, u64) {
+        let outcome = self.classify(i, row);
+        let column = match outcome {
             RowOutcome::Hit => self.column_ready[i].max(not_before),
-            RowOutcome::Empty => {
-                let act = self.activate_ready[i].max(not_before);
-                act + t.rcd
-            }
+            RowOutcome::Empty => self.activate_ready[i].max(not_before) + t.rcd,
             RowOutcome::Miss => {
                 let pre = self.precharge_ready[i].max(not_before);
-                let act = (pre + t.rp).max(self.activate_ready[i]);
-                act + t.rcd
+                (pre + t.rp).max(self.activate_ready[i]) + t.rcd
             }
-        }
+        };
+        (outcome, column)
     }
 
     /// Performs the access on bank `i`: updates the bank state as if precharge/activate were
-    /// issued as in [`BankArray::earliest_column`] and the column command issued at
+    /// issued as in [`BankArray::plan_access`] and the column command issued at
     /// `column_cycle`.
     ///
     /// `is_write` controls the write-recovery constraint on the following precharge.
@@ -131,13 +137,6 @@ impl BankArray {
         outcome
     }
 
-    /// Closes bank `i` (explicit precharge) at `cycle`.
-    pub fn precharge(&mut self, i: usize, cycle: u64, t: &TimingCycles) {
-        let pre = self.precharge_ready[i].max(cycle);
-        self.open_row[i] = NO_OPEN_ROW;
-        self.activate_ready[i] = self.activate_ready[i].max(pre + t.rp);
-    }
-
     /// Blocks every bank until `cycle` and closes all rows (refresh).
     pub fn block_all_until(&mut self, cycle: u64) {
         for row in &mut self.open_row {
@@ -152,14 +151,6 @@ impl BankArray {
         for ready in &mut self.precharge_ready {
             *ready = (*ready).max(cycle);
         }
-    }
-
-    /// Blocks bank `i` until `cycle` and closes its row.
-    pub fn block_until(&mut self, i: usize, cycle: u64) {
-        self.open_row[i] = NO_OPEN_ROW;
-        self.activate_ready[i] = self.activate_ready[i].max(cycle);
-        self.column_ready[i] = self.column_ready[i].max(cycle);
-        self.precharge_ready[i] = self.precharge_ready[i].max(cycle);
     }
 }
 
@@ -206,15 +197,18 @@ mod tests {
     fn hit_is_faster_than_empty_is_faster_than_miss() {
         let t = timing();
         // Empty bank.
-        let empty = one_bank().earliest_column(0, 5, 1000, &t);
+        let (outcome, empty) = one_bank().plan_access(0, 5, 1000, &t);
+        assert_eq!(outcome, RowOutcome::Empty);
         // Bank with the target row open and column-ready in the past.
         let mut hitting = one_bank();
         hitting.access(0, 5, 100, false, &t);
-        let hit = hitting.earliest_column(0, 5, 1000, &t);
+        let (outcome, hit) = hitting.plan_access(0, 5, 1000, &t);
+        assert_eq!(outcome, RowOutcome::Hit);
         // Bank with a different row open.
         let mut missing = one_bank();
         missing.access(0, 9, 100, false, &t);
-        let miss = missing.earliest_column(0, 5, 1000, &t);
+        let (outcome, miss) = missing.plan_access(0, 5, 1000, &t);
+        assert_eq!(outcome, RowOutcome::Miss);
         assert!(hit < empty, "hit {hit} should precede empty {empty}");
         assert!(empty < miss, "empty {empty} should precede miss {miss}");
         assert_eq!(empty - 1000, t.rcd);
@@ -229,8 +223,8 @@ mod tests {
         let mut after_write = one_bank();
         after_write.access(0, 3, 1000, true, &t);
         // A subsequent miss (to row 4) must precharge, which a write pushes further out.
-        let read_next = after_read.earliest_column(0, 4, 1000, &t);
-        let write_next = after_write.earliest_column(0, 4, 1000, &t);
+        let read_next = after_read.plan_access(0, 4, 1000, &t).1;
+        let write_next = after_write.plan_access(0, 4, 1000, &t).1;
         assert!(write_next > read_next);
     }
 
@@ -241,18 +235,8 @@ mod tests {
         b.access(0, 1, 10, false, &t);
         // A miss right away cannot precharge before tRAS expires (activate was at 10 - rcd,
         // clamped to 0, so precharge_ready >= activate + tRAS).
-        let col = b.earliest_column(0, 2, 11, &t);
+        let col = b.plan_access(0, 2, 11, &t).1;
         assert!(col >= t.ras.saturating_sub(t.rcd) + t.rp + t.rcd);
-    }
-
-    #[test]
-    fn block_until_closes_row_and_delays_everything() {
-        let t = timing();
-        let mut b = one_bank();
-        b.access(0, 1, 10, false, &t);
-        b.block_until(0, 5000);
-        assert_eq!(b.open_row(0), None);
-        assert!(b.earliest_column(0, 1, 0, &t) >= 5000 + t.rcd);
     }
 
     #[test]
@@ -264,17 +248,7 @@ mod tests {
         banks.block_all_until(5000);
         for i in 0..3 {
             assert_eq!(banks.open_row(i), None);
-            assert!(banks.earliest_column(i, 1, 0, &t) >= 5000 + t.rcd);
+            assert!(banks.plan_access(i, 1, 0, &t).1 >= 5000 + t.rcd);
         }
-    }
-
-    #[test]
-    fn precharge_closes_row() {
-        let t = timing();
-        let mut b = one_bank();
-        b.access(0, 1, 10, false, &t);
-        b.precharge(0, 500, &t);
-        assert_eq!(b.open_row(0), None);
-        assert_eq!(b.classify(0, 1), RowOutcome::Empty);
     }
 }

@@ -19,6 +19,28 @@
 //! retains the cycle-by-cycle walk for validation. Both produce bit-identical schedules —
 //! the equivalence is enforced by the `event_equivalence` integration test and the shared
 //! conformance suite.
+//!
+//! ## The kept winner
+//!
+//! The engine also avoids rescanning the queue between issues. A scan at cycle `t` picks a
+//! winner `W` with start cycle `s_W > t`. While no command issues and no refresh fires, the
+//! bank, bus and activate-window state is frozen, so every other candidate's FR-FCFS key
+//! (not-a-hit, column cycle, arrival) can only grow with the clock, while `W`'s column cycle
+//! stays fixed: `W` remains the winner, with the same tie-break, at every cycle up to `s_W`.
+//! The controller therefore keeps `W` and:
+//!
+//! * `tick` issues the kept winner at `s_W` without a rescan;
+//! * `enqueue` into the served queue evaluates the new request once, at the first
+//!   unprocessed cycle, and compares it with `W`. The arrival is the youngest request, so it
+//!   replaces `W` only when its key is strictly smaller — exactly what a full scan would
+//!   decide. The next-issue bound that `next_event` reports stays exact across arrivals.
+//!
+//! The kept winner is dropped, and the next `tick` falls back to a full scan, on every
+//! command issue, on every refresh, on an arrival that changes which queue is served (the
+//! write queue crossing its high watermark, or a read arriving while writes are served
+//! opportunistically), and on every arrival in FCFS mode. The full scan and the arrival
+//! comparison share one per-candidate evaluation, and `tick_reference` never keeps a winner:
+//! it rescans the whole queue at every cycle.
 
 use crate::address::DramCoord;
 use crate::bank::{BankArray, RowOutcome};
@@ -30,7 +52,11 @@ use std::collections::{BinaryHeap, VecDeque};
 #[derive(Debug, Clone, Copy)]
 struct QueuedRequest {
     request: Request,
-    coord: DramCoord,
+    row: u64,
+    /// Flat `(rank, bank)` index into the bank array, computed once at enqueue.
+    bank: u32,
+    /// Slot of the request's rank in the activate-window state, computed once at enqueue.
+    rank: u32,
     arrival: u64,
     /// System-level acceptance sequence, echoed in the completion for drain-order ties.
     seq: u64,
@@ -105,6 +131,38 @@ impl Ord for PendingCompletion {
 /// Sentinel for "no command can issue while the queues stay as they are".
 const NO_ISSUE: u64 = u64::MAX;
 
+/// One scheduling candidate evaluated at a given cycle: its FR-FCFS key and issue plan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Candidate {
+    /// Index in the served queue.
+    idx: usize,
+    /// `true` when the candidate comes from the write queue.
+    from_writes: bool,
+    outcome: RowOutcome,
+    /// Cycle of the column command.
+    column: u64,
+    /// Cycle of the first DRAM command of the sequence (precharge, activate or column).
+    start: u64,
+    arrival: u64,
+}
+
+impl Candidate {
+    /// FR-FCFS order: row hits first, then the earliest column command, then the oldest.
+    fn key(&self) -> (bool, u64, u64) {
+        (self.outcome != RowOutcome::Hit, self.column, self.arrival)
+    }
+}
+
+/// Channel-wide bounds shared by every candidate of one evaluation cycle.
+#[derive(Debug, Clone, Copy)]
+struct ScanBounds {
+    /// Earliest cycle any command may issue: the evaluation cycle or the end of refresh.
+    command: u64,
+    /// Earliest column command the data bus allows: refresh blocking, bus occupancy and
+    /// the write-to-read turnaround.
+    column: u64,
+}
+
 /// One channel's memory controller.
 #[derive(Debug)]
 pub struct ChannelController {
@@ -128,6 +186,8 @@ pub struct ChannelController {
     act_times: Vec<u64>,
     act_head: Vec<u8>,
     act_len: Vec<u8>,
+    /// Earliest activate per rank that tRRD and tFAW allow, updated at every activate.
+    act_floor: Vec<u64>,
     /// Kind of the last scheduled data burst, for write-to-read turnaround.
     last_burst: Option<AccessKind>,
     /// Write-drain mode flag.
@@ -137,12 +197,15 @@ pub struct ChannelController {
     completed: BinaryHeap<PendingCompletion>,
     /// First cycle whose command scheduling has not run yet (the internal event clock).
     next_unprocessed: u64,
-    /// The next-issue/refresh bound computed by the last `tick` ([`NO_ISSUE`] when the
-    /// served queue was empty). Exact while `queues_dirty` is false; `next_event` reads it
-    /// instead of re-running the FR-FCFS scan.
+    /// The winner of the last scan, kept exact across arrivals until the next issue or
+    /// refresh (module docs). `None` when the served queue is empty or after a drop.
+    winner: Option<Candidate>,
+    /// The next-issue/refresh bound of the kept schedule, set by `tick` and by arrivals that
+    /// replace the winner ([`NO_ISSUE`] when the served queue is empty). Exact while
+    /// `queues_dirty` is false; `next_event` reads it instead of re-running the scan.
     cached_next_issue: u64,
-    /// Set by `enqueue`: the cached bound may be too late for the new arrivals, so
-    /// `next_event` degrades to `now + 1` until the next `tick` recomputes the schedule.
+    /// Set when the kept winner is dropped outside `tick`: the cached bound may be too
+    /// late, so `next_event` degrades to `now + 1` until the next `tick` rescans.
     queues_dirty: bool,
     /// Row-buffer statistics.
     row_stats: RowBufferStats,
@@ -168,10 +231,12 @@ impl ChannelController {
             act_times: vec![0; ranks * 4],
             act_head: vec![0; ranks],
             act_len: vec![0; ranks],
+            act_floor: vec![0; ranks],
             last_burst: None,
             draining_writes: false,
             completed: BinaryHeap::new(),
             next_unprocessed: 0,
+            winner: None,
             cached_next_issue: NO_ISSUE,
             queues_dirty: false,
             row_stats: RowBufferStats::default(),
@@ -192,17 +257,50 @@ impl ChannelController {
     /// [`ChannelCompletion`] so the system can drain same-cycle completions in acceptance
     /// order.
     pub fn enqueue(&mut self, request: Request, coord: DramCoord, now: u64, seq: u64) {
+        // One activate window per modelled rank.
+        let ranks = self.act_len.len() as u32;
         let q = QueuedRequest {
             request,
-            coord,
+            row: coord.row,
+            bank: coord.rank.min(ranks - 1) * self.banks_per_rank
+                + coord.bank % self.banks_per_rank,
+            rank: coord.rank % ranks,
             arrival: now,
             seq,
         };
-        match request.kind {
-            AccessKind::Read => self.read_queue.push_back(q),
-            AccessKind::Write => self.write_queue.push_back(q),
+        let is_write = request.kind.is_write();
+        let queue = match is_write {
+            true => &mut self.write_queue,
+            false => &mut self.read_queue,
+        };
+        queue.push_back(q);
+        let idx = queue.len() - 1;
+        if self.queues_dirty {
+            return;
         }
-        self.queues_dirty = true;
+        // Keep the schedule exact (module docs): the arrival must leave the drain mode and
+        // the served queue as they are, and in FR-FCFS mode it competes with the kept
+        // winner at the first cycle the scheduler has not run yet.
+        let (draining, from_writes) = self.source();
+        let source_kept = draining == self.draining_writes
+            && self.winner.is_none_or(|w| w.from_writes == from_writes);
+        if !self.config.fr_fcfs || !source_kept {
+            self.drop_winner();
+            return;
+        }
+        if from_writes != is_write {
+            // Arrival in the queue that is not served: the winner stands.
+            return;
+        }
+        // With no kept winner the served queue was empty, so the arrival is its only
+        // candidate. Otherwise it is the youngest request and wins only with a strictly
+        // smaller key, exactly as in a full scan.
+        let bounds = self.bounds(self.next_unprocessed, from_writes);
+        let candidate = self.evaluate(idx, &q, &bounds, from_writes);
+        if self.winner.is_none_or(|w| candidate.key() < w.key()) {
+            self.winner = Some(candidate);
+            self.cached_next_issue = self.refresh_bound(candidate.start);
+        }
     }
 
     /// Number of requests waiting or in flight inside this controller, including accesses
@@ -239,15 +337,16 @@ impl ChannelController {
     /// through every cycle: between command issues the queue and bank state are frozen, so
     /// the next issue cycle reported by the scheduler is exact (see the module docs).
     pub fn tick(&mut self, now: u64) {
-        // Dead-tick fast path: with no arrivals since the last schedule computation and the
-        // clock still short of both the computed next issue and the next refresh deadline,
-        // every cycle up to `now` is provably idle — advance the clock without re-scanning.
-        if !self.queues_dirty
-            && now < self.cached_next_issue
-            && (self.timing.rfc == 0 || now < self.next_refresh)
-        {
-            self.next_unprocessed = self.next_unprocessed.max(now + 1);
-            return;
+        if !self.queues_dirty {
+            // With the schedule exact, every cycle short of both the next issue and the next
+            // refresh deadline is provably idle: advance the clock over them without
+            // touching the queues.
+            let idle_until = self.refresh_bound(self.cached_next_issue);
+            if now < idle_until {
+                self.next_unprocessed = self.next_unprocessed.max(now + 1);
+                return;
+            }
+            self.next_unprocessed = self.next_unprocessed.max(idle_until);
         }
         while self.next_unprocessed <= now {
             let t = self.next_unprocessed;
@@ -255,10 +354,8 @@ impl ChannelController {
             // The next cycle at which the schedule can differ from "nothing happens": the
             // exact next command issue, or a refresh deadline (which re-classifies every
             // queued request against closed rows and re-floors the whole channel).
-            let mut stop = self.issue_ready_at(t);
-            if self.timing.rfc != 0 {
-                stop = stop.min(self.next_refresh);
-            }
+            let next_issue = self.issue_ready_at(t);
+            let stop = self.refresh_bound(next_issue);
             if stop > now {
                 self.cached_next_issue = stop;
                 self.queues_dirty = false;
@@ -269,8 +366,10 @@ impl ChannelController {
         }
     }
 
-    /// The retained cycle-by-cycle reference path: advances to `now` by running the
-    /// scheduler at every single cycle, exactly like the original lockstep controller.
+    /// The retained cycle-by-cycle reference path: advances to `now` by running a full
+    /// FR-FCFS scan at every single cycle, exactly like the original lockstep controller.
+    /// It never keeps a winner between cycles, so it is an independent oracle for the
+    /// incremental scheduling of [`ChannelController::tick`].
     ///
     /// This exists for validation only — the `event_equivalence` test drives it against
     /// [`ChannelController::tick`] on random traffic and asserts bit-identical completions.
@@ -280,12 +379,28 @@ impl ChannelController {
         while self.next_unprocessed <= now {
             let t = self.next_unprocessed;
             self.maybe_refresh(t);
+            self.winner = None;
             self.issue_ready_at(t);
             self.next_unprocessed = t + 1;
         }
         // The reference walk does not maintain the next-issue cache; make `next_event`
         // fall back to its safe `now + 1` bound.
+        self.drop_winner();
+    }
+
+    /// Forgets the kept winner; the next `tick` rescans and `next_event` stays safe.
+    fn drop_winner(&mut self) {
+        self.winner = None;
         self.queues_dirty = true;
+    }
+
+    /// `next_issue` capped by the next refresh deadline, when refresh is modelled.
+    fn refresh_bound(&self, next_issue: u64) -> u64 {
+        if self.timing.rfc == 0 {
+            next_issue
+        } else {
+            next_issue.min(self.next_refresh)
+        }
     }
 
     /// Refresh: every tREFI the channel is blocked for tRFC and all rows are closed.
@@ -298,6 +413,7 @@ impl ChannelController {
             self.banks.block_all_until(end);
             self.blocked_until = self.blocked_until.max(end);
             self.next_refresh += self.timing.refi;
+            self.winner = None;
         }
     }
 
@@ -306,184 +422,165 @@ impl ChannelController {
     /// the queues stay unchanged ([`NO_ISSUE`] when the served queue is empty).
     fn issue_ready_at(&mut self, now: u64) -> u64 {
         loop {
-            self.update_drain_mode();
-            let from_writes = self.pick_source();
-            let queue_len = match from_writes {
-                true => self.write_queue.len(),
-                false => self.read_queue.len(),
-            };
-            if queue_len == 0 {
-                return NO_ISSUE;
-            }
-            let Some((idx, column_cycle, start_cycle, outcome)) = self.select(now, from_writes)
-            else {
-                return NO_ISSUE;
+            let winner = match self.winner {
+                Some(kept) => {
+                    // Cross-check the incremental schedule against a full scan on every
+                    // issue of a kept winner (debug builds only).
+                    #[cfg(debug_assertions)]
+                    if kept.start <= now {
+                        assert_eq!(self.source(), (self.draining_writes, kept.from_writes));
+                        assert_eq!(
+                            self.select(now, kept.from_writes),
+                            Some(kept),
+                            "kept winner differs from a full scan at cycle {now}"
+                        );
+                    }
+                    kept
+                }
+                None => {
+                    let (draining, from_writes) = self.source();
+                    self.draining_writes = draining;
+                    let Some(scanned) = self.select(now, from_writes) else {
+                        return NO_ISSUE;
+                    };
+                    self.winner = Some(scanned);
+                    scanned
+                }
             };
             // The request is committed once its *first* DRAM command (precharge or activate
             // for misses/empties, the column command for hits) can issue at or before `now`;
             // the data transfer itself happens `column_cycle + CL + burst` later.
-            if start_cycle > now {
+            if winner.start > now {
                 // The winner's readiness is a maximum of absolute deadlines, and no other
-                // candidate can overtake it while the queues are frozen, so `start_cycle`
+                // candidate can overtake it while the queues are frozen, so its start cycle
                 // is the exact next issue cycle.
-                return start_cycle;
+                return winner.start;
             }
-            self.issue(idx, column_cycle, outcome, from_writes);
+            self.winner = None;
+            self.issue(winner);
         }
     }
 
-    /// Enters or leaves write-drain mode based on the watermarks.
-    fn update_drain_mode(&mut self) {
-        if self.draining_writes {
-            if self.write_queue.len() <= self.config.write_low_watermark {
-                self.draining_writes = false;
-            }
-        } else if self.write_queue.len() >= self.config.write_high_watermark {
-            self.draining_writes = true;
-        }
-    }
-
-    /// Chooses which queue to serve this iteration.
-    fn pick_source(&self) -> bool {
-        if self.draining_writes {
-            true
-        } else if self.read_queue.is_empty() && !self.write_queue.is_empty() {
-            // Opportunistic write issue when there is no read traffic.
-            true
+    /// The write-drain mode and served queue (`true` for writes) the scheduler uses with
+    /// the current queue occupancy. Drain mode is entered at the high watermark and left at
+    /// the low one; outside it, writes are served opportunistically when no read waits.
+    fn source(&self) -> (bool, bool) {
+        let writes = self.write_queue.len();
+        let draining = if self.draining_writes {
+            writes > self.config.write_low_watermark
         } else {
-            false
+            writes >= self.config.write_high_watermark
+        };
+        let from_writes = draining || (self.read_queue.is_empty() && writes > 0);
+        (draining, from_writes)
+    }
+
+    /// The channel-wide bounds of an evaluation at cycle `now` for the given queue.
+    fn bounds(&self, now: u64, from_writes: bool) -> ScanBounds {
+        // The data burst must find the bus free; shift the column command if needed.
+        let data_latency = self.timing.data_latency(from_writes);
+        let mut column = self
+            .blocked_until
+            .max(self.bus_free.saturating_sub(data_latency));
+        // Write-to-read turnaround (tWTR); read-to-write turnaround is not modelled.
+        if self.last_burst == Some(AccessKind::Write) && !from_writes {
+            column = column.max(self.bus_free + self.timing.wtr);
+        }
+        ScanBounds {
+            command: now.max(self.blocked_until),
+            column,
         }
     }
 
-    /// Selects the next request from the chosen queue following FR-FCFS: among the requests
-    /// that can start earliest, prefer row hits, then the oldest. Returns the queue index, the
-    /// column-command cycle, the cycle of the first command in the sequence and the row
-    /// outcome.
-    ///
-    /// For every candidate the computed start cycle is `max(now, E)` where `E` is a maximum
-    /// of deadlines that do not depend on `now`; this is what makes the returned start cycle
-    /// of a not-yet-ready winner the *exact* next issue cycle (module docs).
-    fn select(&self, now: u64, from_writes: bool) -> Option<(usize, u64, u64, RowOutcome)> {
+    /// Evaluates one queued request against the current bank, activate-window and bus
+    /// state. Every input is an absolute deadline except `bounds.command`, so the start
+    /// cycle is `max(now, E)` for an `E` independent of `now` (module docs).
+    fn evaluate(
+        &self,
+        idx: usize,
+        q: &QueuedRequest,
+        bounds: &ScanBounds,
+        from_writes: bool,
+    ) -> Candidate {
+        let not_before = bounds.command.max(self.act_floor[q.rank as usize]);
+        let (outcome, column) =
+            self.banks
+                .plan_access(q.bank as usize, q.row, not_before, &self.timing);
+        let column = column.max(q.arrival).max(bounds.column);
+        let first_cmd_offset = match outcome {
+            RowOutcome::Hit => 0,
+            RowOutcome::Empty => self.timing.rcd,
+            RowOutcome::Miss => self.timing.rcd + self.timing.rp,
+        };
+        Candidate {
+            idx,
+            from_writes,
+            outcome,
+            column,
+            start: column.saturating_sub(first_cmd_offset),
+            arrival: q.arrival,
+        }
+    }
+
+    /// Selects the next request from the chosen queue by a full scan: FR-FCFS (row hits
+    /// first, then the earliest column command, then the oldest; ties to the lower queue
+    /// index), or the queue head in FCFS mode. `None` when the queue is empty.
+    fn select(&self, now: u64, from_writes: bool) -> Option<Candidate> {
         let queue = if from_writes {
             &self.write_queue
         } else {
             &self.read_queue
         };
-        let mut best: Option<(usize, u64, RowOutcome, u64)> = None;
-        for (i, q) in queue.iter().enumerate() {
-            let bank = self.bank_index(&q.coord);
-            let outcome = self.banks.classify(bank, q.coord.row);
-            let not_before = self.activate_floor(q.coord.rank, now);
-            let mut column =
-                self.banks
-                    .earliest_column(bank, q.coord.row, not_before, &self.timing);
-            column = column.max(self.blocked_until).max(q.arrival);
-            // The data burst must find the bus free; shift the column command if needed.
-            let data_latency = self.timing.data_latency(from_writes);
-            let data_start = (column + data_latency).max(self.bus_free);
-            let mut column = data_start - data_latency;
-            // Write-to-read and read-to-write turnaround penalties.
-            if let Some(last) = self.last_burst {
-                let switching =
-                    (last == AccessKind::Write) != from_writes && last == AccessKind::Write;
-                if switching {
-                    column = column.max(self.bus_free + self.timing.wtr);
-                }
-            }
-            let key_hit = matches!(outcome, RowOutcome::Hit);
-            let better = match best {
-                None => true,
-                Some((_, best_col, best_outcome, best_age)) => {
-                    if self.config.fr_fcfs {
-                        let best_hit = matches!(best_outcome, RowOutcome::Hit);
-                        (key_hit && !best_hit)
-                            || (key_hit == best_hit && column < best_col)
-                            || (key_hit == best_hit && column == best_col && q.arrival < best_age)
-                    } else {
-                        q.arrival < best_age
-                    }
-                }
-            };
-            if better {
-                best = Some((i, column, outcome, q.arrival));
+        let bounds = self.bounds(now, from_writes);
+        // Track only the key and index in the loop; the winner's full plan is rebuilt once.
+        let mut best: Option<((bool, u64, u64), usize)> = None;
+        for (idx, q) in queue.iter().enumerate() {
+            let key = self.evaluate(idx, q, &bounds, from_writes).key();
+            if best.is_none_or(|(best_key, _)| key < best_key) {
+                best = Some((key, idx));
             }
             // FCFS only ever considers the head of the queue.
             if !self.config.fr_fcfs {
                 break;
             }
         }
-        best.map(|(i, c, o, _)| {
-            let first_cmd_offset = match o {
-                RowOutcome::Hit => 0,
-                RowOutcome::Empty => self.timing.rcd,
-                RowOutcome::Miss => self.timing.rcd + self.timing.rp,
-            };
-            (i, c, c.saturating_sub(first_cmd_offset), o)
-        })
+        best.map(|(_, idx)| self.evaluate(idx, &queue[idx], &bounds, from_writes))
     }
 
-    /// Index of the (rank, bank) pair in the flat bank vector.
-    fn bank_index(&self, coord: &DramCoord) -> usize {
-        (coord.rank.min(self.ranks() - 1) * self.banks_per_rank + coord.bank % self.banks_per_rank)
-            as usize
-    }
-
-    /// Number of ranks this controller models.
-    fn ranks(&self) -> u32 {
-        (self.banks.len() as u32 / self.banks_per_rank).max(1)
-    }
-
-    /// Earliest cycle an activate may issue on `rank` given tRRD and the four-activate window.
-    fn activate_floor(&self, rank: u32, now: u64) -> u64 {
-        let r = rank as usize % self.act_len.len();
-        let len = self.act_len[r] as usize;
-        let head = self.act_head[r] as usize;
-        let mut floor = now.max(self.blocked_until);
-        if len > 0 {
-            let last = self.act_times[r * 4 + (head + 3) % 4];
-            floor = floor.max(last + self.timing.rrd);
+    /// Records an activate at `cycle` on `rank` into the tFAW ring and refreshes the rank's
+    /// activate floor: tRRD after this activate, and tFAW after the oldest of the last four.
+    fn record_activate(&mut self, rank: usize, cycle: u64) {
+        let head = self.act_head[rank] as usize;
+        self.act_times[rank * 4 + head] = cycle;
+        let head = (head + 1) % 4;
+        self.act_head[rank] = head as u8;
+        self.act_len[rank] = (self.act_len[rank] + 1).min(4);
+        let mut floor = cycle + self.timing.rrd;
+        if self.act_len[rank] == 4 {
+            floor = floor.max(self.act_times[rank * 4 + head] + self.timing.faw);
         }
-        if len >= 4 {
-            let oldest = self.act_times[r * 4 + head];
-            floor = floor.max(oldest + self.timing.faw);
-        }
-        floor
-    }
-
-    /// Records an activate at `cycle` on `rank` into the tFAW ring.
-    fn record_activate(&mut self, rank: u32, cycle: u64) {
-        let r = rank as usize % self.act_len.len();
-        let head = self.act_head[r] as usize;
-        self.act_times[r * 4 + head] = cycle;
-        self.act_head[r] = ((head + 1) % 4) as u8;
-        self.act_len[r] = (self.act_len[r] + 1).min(4);
+        self.act_floor[rank] = floor;
     }
 
     /// Issues the selected request: updates bank, bus and bookkeeping state and records the
     /// completion.
-    fn issue(&mut self, idx: usize, column_cycle: u64, outcome: RowOutcome, from_writes: bool) {
-        let q = if from_writes {
-            self.write_queue
-                .remove(idx)
-                .expect("selected index is valid")
-        } else {
-            self.read_queue
-                .remove(idx)
-                .expect("selected index is valid")
+    fn issue(&mut self, winner: Candidate) {
+        let queue = match winner.from_writes {
+            true => &mut self.write_queue,
+            false => &mut self.read_queue,
         };
+        let q = queue.remove(winner.idx).expect("selected index is valid");
+        let (column_cycle, outcome) = (winner.column, winner.outcome);
         let is_write = q.request.kind.is_write();
-        let bank_index = self.bank_index(&q.coord);
-        self.banks.access(
-            bank_index,
-            q.coord.row,
-            column_cycle,
-            is_write,
-            &self.timing,
-        );
+        self.banks
+            .access(q.bank as usize, q.row, column_cycle, is_write, &self.timing);
 
         if outcome != RowOutcome::Hit {
             // Record the activate for tRRD / tFAW tracking.
-            self.record_activate(q.coord.rank, column_cycle.saturating_sub(self.timing.rcd));
+            self.record_activate(
+                q.rank as usize,
+                column_cycle.saturating_sub(self.timing.rcd),
+            );
         }
 
         match outcome {
@@ -523,19 +620,20 @@ impl ChannelController {
     /// command will issue while requests are queued (a completion follows it strictly
     /// later, so the bound is never late).
     ///
-    /// The returned cycle is exact while the queues stay unchanged; newly enqueued requests
-    /// make the next `tick` recompute the schedule, so a stale (early) value only costs one
-    /// extra wake-up, never a missed completion.
+    /// The returned cycle is exact while the schedule is: arrivals keep it exact through the
+    /// kept-winner comparison, and an arrival that drops the kept winner degrades it to
+    /// `now + 1` until the next `tick` rescans — one extra wake-up, never a missed
+    /// completion.
     pub fn next_event(&self, now: u64) -> Option<u64> {
         let mut next = self
             .completed
             .peek()
             .map(|p| p.0.completion.complete_cycle.as_u64().max(now + 1));
         if !self.read_queue.is_empty() || !self.write_queue.is_empty() {
-            // The last tick already computed the exact next command-issue cycle; reuse it
-            // instead of re-running the FR-FCFS scan. New arrivals since then invalidate
-            // the cache, and `now + 1` requests one (cheap) tick to rebuild it — exactly
-            // the cycle at which a fresh request could first issue anyway.
+            // The last tick (or arrival) already computed the exact next command-issue
+            // cycle; reuse it instead of re-running the FR-FCFS scan. An arrival that
+            // dropped the kept winner invalidates it, and `now + 1` requests one tick to
+            // rebuild it — exactly the cycle at which a fresh request could first issue.
             let e = if self.queues_dirty {
                 now + 1
             } else {

@@ -34,12 +34,18 @@
 //!   model a handful of times per request on low-occupancy traffic rather than once per
 //!   cycle — the schedule stays bit-identical to the retained cycle-by-cycle reference
 //!   path (`DramSystem::tick_reference`), which the `event_equivalence` test enforces.
+//! * **Incremental FR-FCFS.** The controller keeps the winner of its last queue scan and
+//!   updates it with one comparison per arrival, so the queue is scanned once per command
+//!   issue (the controller module's "kept winner" section states when that winner stays
+//!   exact).
 //! * **Flat state, allocation-free steady state.** Per-bank timing state lives in
-//!   [`bank::BankArray`], a structure of arrays keyed by the flat `(rank, bank)` index, so
-//!   the FR-FCFS scan walks dense `Vec<u64>` columns; the per-rank tFAW history is a flat
-//!   four-entry ring; scheduled completions sit in a min-heap keyed by (completion cycle,
-//!   acceptance sequence), popped directly into the caller's reusable drain buffer. After
-//!   warm-up, the issue → complete → drain cycle performs no heap allocation.
+//!   [`bank::BankArray`], a structure of arrays keyed by the flat `(rank, bank)` index that
+//!   each request carries from enqueue on, so the FR-FCFS scan walks dense `Vec<u64>`
+//!   columns; the per-rank tFAW history is a flat four-entry ring whose activate floor is
+//!   updated once per activate; scheduled completions sit in a min-heap keyed by
+//!   (completion cycle, acceptance sequence), popped directly into the caller's reusable
+//!   drain buffer. After warm-up, the issue → complete → drain cycle performs no heap
+//!   allocation.
 //!
 //! [`MemoryBackend::next_event`]: mess_types::MemoryBackend::next_event
 //!

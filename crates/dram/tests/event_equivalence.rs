@@ -6,7 +6,13 @@
 //! ([`DramSystem::tick_reference`]). Per-request completion cycles, row-buffer outcomes and
 //! the cumulative statistics must be bit-identical — the event engine is an optimization,
 //! never a model change.
+//!
+//! Besides the random mixes, targeted schedules hit every case in which the production
+//! controller must drop its kept FR-FCFS winner: an arrival that crosses the write high
+//! watermark, a read arriving while writes are served opportunistically, arrivals around
+//! refresh deadlines, FCFS mode, and a many-bank device.
 
+use mess_dram::controller::ControllerConfig;
 use mess_dram::{DramConfig, DramPreset, DramSystem};
 use mess_types::{AccessKind, Completion, Cycle, Frequency, MemoryBackend, Request, RequestId};
 
@@ -147,13 +153,145 @@ fn drive(sys: &mut DramSystem, steps: &[Step], event_driven: bool) -> Observed {
     }
 }
 
+/// Builds a request for a schedule step.
+fn request(id: u64, addr: u64, kind: AccessKind, cycle: u64) -> Request {
+    Request {
+        id: RequestId(id),
+        addr,
+        kind,
+        issue_cycle: Cycle::new(cycle),
+        core: (id % 8) as u32,
+    }
+}
+
+/// A random line address spread over many rows and banks (mostly row misses).
+fn scattered(rng: &mut Mix) -> u64 {
+    rng.below(1 << 24) * 64
+}
+
+/// Writes trickling in one per step until the write queue crosses its high watermark,
+/// while a kept winner is being served: alternately a read backlog (the crossing switches
+/// the served queue to writes) and a write batch just under the watermark with no reads
+/// (the crossing only enters drain mode), followed by reads that drain mode must hold off.
+fn watermark_schedule(seed: u64) -> Vec<Step> {
+    let high = ControllerConfig::default().write_high_watermark as u64;
+    let mut rng = Mix(seed);
+    let mut steps = Vec::new();
+    let (mut id, mut cycle) = (0u64, 0u64);
+    for phase in 0..8 {
+        let (kind, count) = if phase % 2 == 0 {
+            (AccessKind::Read, 24 + rng.below(20))
+        } else {
+            (AccessKind::Write, high - 1 - rng.below(4))
+        };
+        let batch = (0..count)
+            .map(|i| request(id + i, scattered(&mut rng), kind, cycle))
+            .collect();
+        id += count;
+        steps.push(Step { cycle, batch });
+        let writes = if phase % 2 == 0 { high } else { 4 };
+        let reads = if phase % 2 == 0 { 0 } else { 3 };
+        for i in 0..writes + rng.below(8) + reads {
+            cycle += 1 + rng.below(2);
+            let kind = if i < writes {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            steps.push(Step {
+                cycle,
+                batch: vec![request(id, scattered(&mut rng), kind, cycle)],
+            });
+            id += 1;
+        }
+        cycle += 5_000 + rng.below(5_000);
+    }
+    steps
+}
+
+/// Write bursts below the high watermark into an idle channel, so writes are served
+/// opportunistically, each followed shortly by reads that take the scheduler back.
+fn opportunistic_write_schedule(seed: u64) -> Vec<Step> {
+    let high = ControllerConfig::default().write_high_watermark as u64;
+    let mut rng = Mix(seed);
+    let mut steps = Vec::new();
+    let (mut id, mut cycle) = (0u64, 0u64);
+    for _ in 0..12 {
+        let writes = 2 + rng.below(high - 2);
+        let batch = (0..writes)
+            .map(|i| request(id + i, scattered(&mut rng), AccessKind::Write, cycle))
+            .collect();
+        id += writes;
+        steps.push(Step { cycle, batch });
+        for _ in 0..1 + rng.below(3) {
+            cycle += 1 + rng.below(60);
+            let read = request(id, scattered(&mut rng), AccessKind::Read, cycle);
+            id += 1;
+            steps.push(Step {
+                cycle,
+                batch: vec![read],
+            });
+        }
+        cycle += 3_000 + rng.below(3_000);
+    }
+    steps
+}
+
+/// A read backlog shortly before each of the first refresh deadlines, then single arrivals
+/// on the cycles around the deadline (two before it, on it, one after it).
+fn refresh_edge_schedule(seed: u64, refi: u64) -> Vec<Step> {
+    let mut rng = Mix(seed);
+    let mut steps = Vec::new();
+    let mut id = 0u64;
+    for k in 1..=5u64 {
+        let deadline = k * refi;
+        let backlog = deadline - 100 - rng.below(300);
+        let reads = 8 + rng.below(24);
+        let batch = (0..reads)
+            .map(|i| {
+                let kind = if rng.below(4) == 0 {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                request(id + i, scattered(&mut rng), kind, backlog)
+            })
+            .collect();
+        id += reads;
+        steps.push(Step {
+            cycle: backlog,
+            batch,
+        });
+        for cycle in deadline - 2..=deadline + 1 {
+            // Alternate row hits on a recently opened row with scattered misses.
+            let addr = if rng.below(2) == 0 {
+                (id % 32) * 64
+            } else {
+                scattered(&mut rng)
+            };
+            steps.push(Step {
+                cycle,
+                batch: vec![request(id, addr, AccessKind::Read, cycle)],
+            });
+            id += 1;
+        }
+    }
+    steps
+}
+
 fn assert_equivalent(config: DramConfig, seed: u64, requests: usize) {
-    let name = format!("{:?} x{} seed {seed}", config.preset, config.channels);
-    let steps = random_schedule(seed, requests);
+    assert_schedule_equivalent(config, seed, &random_schedule(seed, requests));
+}
+
+fn assert_schedule_equivalent(config: DramConfig, seed: u64, steps: &[Step]) {
+    let name = format!(
+        "{:?} x{} fr_fcfs={} seed {seed}",
+        config.preset, config.channels, config.controller.fr_fcfs
+    );
     let mut event = DramSystem::new(config.clone());
     let mut reference = DramSystem::new(config);
-    let a = drive(&mut event, &steps, true);
-    let b = drive(&mut reference, &steps, false);
+    let a = drive(&mut event, steps, true);
+    let b = drive(&mut reference, steps, false);
     assert_eq!(
         a.accepted, b.accepted,
         "{name}: acceptance decisions diverged"
@@ -210,4 +348,63 @@ fn refreshless_optane_event_tick_matches_reference() {
         0x0C7A_AE5C,
         300,
     );
+}
+
+/// Seeds every targeted schedule runs over.
+const EDGE_SEEDS: [u64; 4] = [1, 0x5EED_0002, 0xC0FF_EE03, 0xF00D_0004];
+
+fn ddr4_single_channel() -> DramConfig {
+    DramConfig::new(DramPreset::Ddr4_2666, 1, Frequency::from_ghz(2.0))
+}
+
+#[test]
+fn write_high_watermark_crossing_matches_reference() {
+    for seed in EDGE_SEEDS {
+        assert_schedule_equivalent(ddr4_single_channel(), seed, &watermark_schedule(seed));
+    }
+}
+
+#[test]
+fn read_arriving_during_opportunistic_writes_matches_reference() {
+    for seed in EDGE_SEEDS {
+        assert_schedule_equivalent(
+            ddr4_single_channel(),
+            seed,
+            &opportunistic_write_schedule(seed),
+        );
+    }
+}
+
+#[test]
+fn arrivals_on_refresh_deadlines_match_reference() {
+    let config = ddr4_single_channel();
+    let refi = config.timing().to_cpu_cycles(config.cpu_frequency).refi;
+    for seed in EDGE_SEEDS {
+        assert_schedule_equivalent(config.clone(), seed, &refresh_edge_schedule(seed, refi));
+    }
+}
+
+#[test]
+fn fcfs_controller_event_tick_matches_reference() {
+    let config = DramConfig {
+        controller: ControllerConfig {
+            fr_fcfs: false,
+            ..ControllerConfig::default()
+        },
+        ..ddr4_single_channel()
+    };
+    for seed in EDGE_SEEDS {
+        assert_equivalent(config.clone(), seed, 300);
+        assert_schedule_equivalent(config.clone(), seed, &watermark_schedule(seed));
+    }
+}
+
+#[test]
+fn hbm_many_bank_single_channel_matches_reference() {
+    // One HBM2 channel: 32 banks behind one queue pair, so scans see the most distinct
+    // banks and activate-window pressure.
+    let config = DramConfig::new(DramPreset::Hbm2, 1, Frequency::from_ghz(2.0));
+    for seed in EDGE_SEEDS {
+        assert_equivalent(config.clone(), seed, 400);
+    }
 }
